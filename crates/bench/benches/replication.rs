@@ -12,9 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use loadmodel::OnOffSource;
 use simulator::platform::{LoadSpec, PlatformSpec};
-use simulator::runner::{
-    enter_cell, run_replicated_jobs, run_replicated_policies, RealizationCache,
-};
+use simulator::runner::{enter_cell, RealizationCache, Replication};
 use simulator::strategies::Swap;
 use simulator::AppSpec;
 use std::sync::Arc;
@@ -47,14 +45,11 @@ fn bench_seed_fanout(c: &mut Criterion) {
 
     group.bench_function("seed_fanout/serial", |b| {
         b.iter(|| {
-            std::hint::black_box(run_replicated_jobs(
-                &spec,
-                &app,
-                &Swap::greedy(),
-                16,
-                &seeds,
-                1,
-            ))
+            std::hint::black_box(
+                Replication::new(&spec, &app, 16, &seeds)
+                    .run(&Swap::greedy())
+                    .0,
+            )
         })
     });
 
@@ -63,14 +58,11 @@ fn bench_seed_fanout(c: &mut Criterion) {
         let _install = simkit::pool::install(&pool, 0);
         let _cell = enter_cell(4, None);
         b.iter(|| {
-            std::hint::black_box(run_replicated_jobs(
-                &spec,
-                &app,
-                &Swap::greedy(),
-                16,
-                &seeds,
-                1,
-            ))
+            std::hint::black_box(
+                Replication::new(&spec, &app, 16, &seeds)
+                    .run(&Swap::greedy())
+                    .0,
+            )
         })
     });
 
@@ -97,9 +89,15 @@ fn tournament_cell(spec: &PlatformSpec, app: &AppSpec, seeds: &[u64]) -> f64 {
             }
         };
         let ps = policy::PolicyConfig::for_placement(placement).build(fs.shock_window_secs);
-        acc += run_replicated_policies(spec, app, &Swap::safe(), 16, seeds, 1, &fs, &ps)
-            .execution_time
-            .mean;
+        acc += Replication {
+            faults: Some(&fs),
+            policies: Some(&ps),
+            ..Replication::new(spec, app, 16, seeds)
+        }
+        .run(&Swap::safe())
+        .0
+        .execution_time
+        .mean;
     }
     acc
 }

@@ -17,7 +17,7 @@ use crate::sweep::grid_sweep;
 use faults::FaultSpec;
 use loadmodel::OnOffSource;
 use simulator::platform::LoadSpec;
-use simulator::runner::{run_replicated, run_replicated_faults, run_replicated_policies};
+use simulator::runner::{run_replicated, Replication};
 use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};
 use simulator::AppSpec;
 
@@ -283,13 +283,16 @@ pub fn ext_faults(scale: &Scale) -> FigureData {
             let spec = platform(onoff_duty(0.5));
             let fs = FaultSpec::crashes_only(mtbf, fault_seed);
             let seeds = scale.seed_list();
-            match scale.placement {
-                Some(p) => {
-                    let ps = policy::PolicyConfig::for_placement(p).build(0.0);
-                    run_replicated_policies(&spec, &app, s.as_ref(), *alloc, &seeds, 1, &fs, &ps)
-                }
-                None => run_replicated_faults(&spec, &app, s.as_ref(), *alloc, &seeds, 1, &fs),
+            let ps = scale
+                .placement
+                .map(|p| policy::PolicyConfig::for_placement(p).build(0.0));
+            Replication {
+                faults: Some(&fs),
+                policies: ps.as_ref(),
+                ..Replication::new(&spec, &app, *alloc, &seeds)
             }
+            .run(s.as_ref())
+            .0
             .execution_time
             .mean
         },
@@ -399,16 +402,13 @@ pub fn ext_policies(scale: &Scale) -> FigureData {
             let fs = fault_for(mtbf);
             let spec = tournament_platform();
             let ps = policy::PolicyConfig::for_placement(*placement).build(fs.shock_window_secs);
-            run_replicated_policies(
-                &spec,
-                &app,
-                &Swap::safe(),
-                32,
-                &scale.seed_list(),
-                1,
-                &fs,
-                &ps,
-            )
+            Replication {
+                faults: Some(&fs),
+                policies: Some(&ps),
+                ..Replication::new(&spec, &app, 32, &scale.seed_list())
+            }
+            .run(&Swap::safe())
+            .0
             .execution_time
             .mean
         },

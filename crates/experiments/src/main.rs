@@ -27,10 +27,45 @@ use experiments::output::{write_manifest, Manifest};
 use experiments::report::{render_markdown, run_report_timed_with, REPORT_FIGURES};
 use experiments::schedule::{self, GeneratedFigure, Weights};
 use experiments::Scale;
+use simulator::platform::LoadSpec;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// Pins glibc malloc's mmap and trim thresholds for the whole process.
+///
+/// Realizing a platform allocates thousands of short-lived 100–300 KB
+/// load-timeline buffers, sizes that straddle glibc's default 128 KB
+/// mmap threshold. Left to its dynamic threshold, malloc decides from the
+/// history of earlier frees whether such a buffer comes from reusable
+/// heap or from fresh zeroed pages, so the same command paid anywhere
+/// from 7 k to 170 k page faults (0.02–0.5 s of system time on a
+/// fine-grained-load scenario) depending on the seed's exact buffer
+/// sizes. Fixed thresholds serve every buffer under 32 MiB from the heap
+/// and keep up to 64 MiB of freed top-of-heap memory for reuse, which
+/// makes that cost small and the same for every input. Peak RSS is
+/// unchanged: freed blocks are reused rather than kept beside new ones.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_heap_thresholds() {
+    use std::os::raw::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    // SAFETY: mallopt only updates allocator parameters; it is called
+    // before any thread is spawned, and a rejected value leaves the
+    // defaults in place.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_heap_thresholds() {}
+
 fn main() {
+    pin_heap_thresholds();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage_and_exit();
@@ -63,11 +98,11 @@ fn main() {
         .iter()
         .position(|a| a == "--mtbf")
         .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--mtbf expects seconds (0 = faults off), got '{v}'");
-                std::process::exit(2);
-            })
+        .map(|v| match v.parse() {
+            Ok(m) => valid_mtbf(m),
+            Err(_) => invalid(&format!(
+                "--mtbf expects seconds (0 = faults off), got '{v}'"
+            )),
         });
     let fault_seed: Option<u64> = args
         .iter()
@@ -167,11 +202,11 @@ fn main() {
             // evaluate a custom swapping policy (serde JSON of PolicyParams).
             match args.get(1).map(String::as_str) {
                 Some("placements") => {
-                    let m: f64 = mtbf
-                        .or_else(|| args.get(2).and_then(|s| s.parse().ok()))
+                    let m = mtbf
+                        .or_else(|| args.get(2).and_then(|s| s.parse().ok()).map(valid_mtbf))
                         .unwrap_or(3_000.0);
                     let duty: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-                    let state: f64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+                    let state = state_arg(&args, 4, 1e8);
                     run_placement_tournament(
                         m,
                         fault_seed.unwrap_or(0),
@@ -202,7 +237,7 @@ fn main() {
                             std::process::exit(2);
                         });
                     let duty: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-                    let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+                    let state = state_arg(&args, 3, 1e8);
                     run_policy_eval(policy, duty, state, &scale);
                 }
             }
@@ -364,8 +399,14 @@ fn main() {
             // shared-link DES, with the full observability pipeline.
             let n_active: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
             let n_spares: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(28);
-            let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0e6);
+            let state = state_arg(&args, 3, 1.0e6);
             let swaps: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1);
+            if swaps > n_active.min(n_spares) {
+                invalid(&format!(
+                    "protocol: {swaps} swap(s) need as many active processes and spares, \
+                     got {n_active} active and {n_spares} spares"
+                ));
+            }
             let params =
                 simulator::protocol::ProtocolParams::hpdc03(n_active, n_spares, state, swaps);
             let (sink, collector) = obs::SharedSink::collector();
@@ -396,10 +437,10 @@ fn main() {
             // swapsim faults [mtbf] [duty] [state_bytes]: every strategy
             // against deterministic crash injection at one operating
             // point, with failure/recovery accounting.
-            let mtbf_pos: Option<f64> = args.get(1).and_then(|s| s.parse().ok());
+            let mtbf_pos = args.get(1).and_then(|s| s.parse().ok()).map(valid_mtbf);
             let m = mtbf.or(mtbf_pos).unwrap_or(3_000.0);
             let duty: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+            let state = state_arg(&args, 3, 1e8);
             run_faults_compare(
                 m,
                 fault_seed.unwrap_or(0),
@@ -413,7 +454,7 @@ fn main() {
             // swapsim tune [duty] [state_bytes]: grid-search the policy
             // space at one operating point.
             let duty: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1e8);
+            let state = state_arg(&args, 2, 1e8);
             let (nothing, results) = experiments::tuner::tune(duty, state, &scale);
             println!(
                 "policy grid search at duty {duty}, state {state:.0} B ({} policies, NOTHING = {nothing:.0} s)\n",
@@ -444,9 +485,16 @@ fn main() {
             // swapsim compare [duty] [state_bytes] [n_active] [alloc]:
             // one operating point, every strategy, with spread statistics.
             let duty: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.5);
-            let state: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1e6);
+            let state = state_arg(&args, 2, 1e6);
             let n_active: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
             let alloc: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(32);
+            let hosts = experiments::figures::platform(LoadSpec::Unloaded).n_hosts;
+            if n_active == 0 || n_active > hosts {
+                invalid(&format!(
+                    "compare: n_active must be between 1 and {hosts} (the platform's hosts), \
+                     got {n_active}"
+                ));
+            }
             run_compare(duty, state, n_active, alloc, &scale);
         }
         "gantt" => {
@@ -607,7 +655,7 @@ fn emit_figure(
 
 fn run_policy_eval(policy: swap_core::PolicyParams, duty: f64, state: f64, scale: &Scale) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::run_replicated_jobs;
+    use simulator::runner::Replication;
     use simulator::strategies::{Nothing, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
@@ -617,9 +665,24 @@ fn run_policy_eval(policy: swap_core::PolicyParams, duty: f64, state: f64, scale
     let jobs = scale.jobs;
 
     println!("custom policy: {policy:#?}\n");
-    let nothing = run_replicated_jobs(&spec, &app, &Nothing, 4, &seeds, jobs);
-    let custom = run_replicated_jobs(&spec, &app, &Swap::new(policy), 32, &seeds, jobs);
-    let greedy = run_replicated_jobs(&spec, &app, &Swap::greedy(), 32, &seeds, jobs);
+    let nothing = Replication {
+        jobs,
+        ..Replication::new(&spec, &app, 4, &seeds)
+    }
+    .run(&Nothing)
+    .0;
+    let custom = Replication {
+        jobs,
+        ..Replication::new(&spec, &app, 32, &seeds)
+    }
+    .run(&Swap::new(policy))
+    .0;
+    let greedy = Replication {
+        jobs,
+        ..Replication::new(&spec, &app, 32, &seeds)
+    }
+    .run(&Swap::greedy())
+    .0;
     let base = nothing.execution_time.mean;
     for r in [&nothing, &custom, &greedy] {
         println!(
@@ -647,7 +710,7 @@ fn run_placement_tournament(
     trace_path: Option<&Path>,
 ) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::{run_replicated_policies, run_replicated_policies_traced};
+    use simulator::runner::Replication;
     use simulator::strategies::Swap;
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
@@ -680,18 +743,17 @@ fn run_placement_tournament(
     let mut bundle = obs::TraceBundle::new();
     for choice in choices {
         let ps = policy::PolicyConfig::for_placement(choice).build(fs.shock_window_secs);
-        let strategy = Swap::greedy();
-        let r = if trace_path.is_some() {
-            let (r, traces) = run_replicated_policies_traced(
-                &spec, &app, &strategy, 32, &seeds, scale.jobs, &fs, &ps,
-            );
-            for (seed, trace) in seeds.iter().zip(traces) {
-                bundle.push(choice.name(), *seed, trace);
-            }
-            r
-        } else {
-            run_replicated_policies(&spec, &app, &strategy, 32, &seeds, scale.jobs, &fs, &ps)
-        };
+        let (r, traces) = Replication {
+            jobs: scale.jobs,
+            faults: Some(&fs),
+            policies: Some(&ps),
+            trace: trace_path.is_some(),
+            ..Replication::new(&spec, &app, 32, &seeds)
+        }
+        .run(&Swap::greedy());
+        for (seed, trace) in seeds.iter().zip(traces) {
+            bundle.push(choice.name(), *seed, trace);
+        }
         let sum = |f: fn(&simulator::RunResult) -> usize| -> usize { r.runs.iter().map(f).sum() };
         println!(
             "{:<13} {:>9.0} {:>9} {:>9} {:>7} {:>9.1}",
@@ -717,7 +779,7 @@ fn run_placement_tournament(
 
 fn run_compare(duty: f64, state: f64, n_active: usize, alloc: usize, scale: &Scale) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::run_replicated_jobs;
+    use simulator::runner::Replication;
     use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(n_active, state);
@@ -745,7 +807,12 @@ fn run_compare(duty: f64, state: f64, n_active: usize, alloc: usize, scale: &Sca
     ];
     let mut baseline = None;
     for (s, a) in &strategies {
-        let r = run_replicated_jobs(&spec, &app, s.as_ref(), *a, &seeds, scale.jobs);
+        let r = Replication {
+            jobs: scale.jobs,
+            ..Replication::new(&spec, &app, *a, &seeds)
+        }
+        .run(s.as_ref())
+        .0;
         let e = r.execution_time;
         let base = *baseline.get_or_insert(e.mean);
         println!(
@@ -770,7 +837,7 @@ fn run_faults_compare(
     trace_path: Option<&Path>,
 ) {
     use experiments::figures::{onoff_duty, platform};
-    use simulator::runner::{run_replicated_faults, run_replicated_faults_traced};
+    use simulator::runner::Replication;
     use simulator::strategies::{Cr, Dlb, Nothing, Strategy, Swap};
 
     let mut app = simulator::AppSpec::hpdc03(4, state);
@@ -799,23 +866,16 @@ fn run_faults_compare(
     ];
     let mut bundle = obs::TraceBundle::new();
     for (s, alloc) in &strategies {
-        let r = if trace_path.is_some() {
-            let (r, traces) = run_replicated_faults_traced(
-                &spec,
-                &app,
-                s.as_ref(),
-                *alloc,
-                &seeds,
-                scale.jobs,
-                &fs,
-            );
-            for (seed, trace) in seeds.iter().zip(traces) {
-                bundle.push(format!("{}/{alloc}", r.strategy), *seed, trace);
-            }
-            r
-        } else {
-            run_replicated_faults(&spec, &app, s.as_ref(), *alloc, &seeds, scale.jobs, &fs)
-        };
+        let (r, traces) = Replication {
+            jobs: scale.jobs,
+            faults: Some(&fs),
+            trace: trace_path.is_some(),
+            ..Replication::new(&spec, &app, *alloc, &seeds)
+        }
+        .run(s.as_ref());
+        for (seed, trace) in seeds.iter().zip(traces) {
+            bundle.push(format!("{}/{alloc}", r.strategy), *seed, trace);
+        }
         let sum = |f: fn(&simulator::RunResult) -> usize| -> usize { r.runs.iter().map(f).sum() };
         println!(
             "{:<12} {:>9.0} {:>9} {:>9} {:>7} {:>7} {:>9.1}",
@@ -893,6 +953,34 @@ fn write_trace_file(bundle: &obs::TraceBundle, path: &Path) {
         path.display(),
         bundle.event_count()
     );
+}
+
+/// Reports an invalid argument and exits with status 2.
+fn invalid(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Rejects a crash MTBF that is negative or not finite (0 = faults off).
+fn valid_mtbf(m: f64) -> f64 {
+    if !(m.is_finite() && m >= 0.0) {
+        invalid(&format!(
+            "MTBF must be a finite number of seconds >= 0 (0 = faults off), got {m}"
+        ));
+    }
+    m
+}
+
+/// The process state size in bytes at `args[i]` (`default` when absent
+/// or not a number); rejects one that is negative or not finite.
+fn state_arg(args: &[String], i: usize, default: f64) -> f64 {
+    let bytes = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default);
+    if !(bytes.is_finite() && bytes >= 0.0) {
+        invalid(&format!(
+            "state_bytes must be a finite number of bytes >= 0, got {bytes}"
+        ));
+    }
+    bytes
 }
 
 fn usage_and_exit() -> ! {

@@ -1,19 +1,15 @@
 //! Scenario files: a complete experiment as one JSON document.
 //!
 //! A [`Scenario`] bundles the platform spec, the application spec, the
-//! replication seeds, and a list of strategies — everything
-//! `run_replicated` needs — so downstream users can describe their own
+//! replication seeds, and a list of strategies — everything a
+//! `Replication` needs — so downstream users can describe their own
 //! study without writing Rust. `swapsim run scenario.json` executes it;
 //! `swapsim scenario --template` prints a starting point.
 
 use faults::FaultSpec;
 use serde::{Deserialize, Serialize};
 use simulator::platform::PlatformSpec;
-use simulator::runner::{
-    run_replicated_faults, run_replicated_faults_traced, run_replicated_jobs,
-    run_replicated_policies, run_replicated_policies_traced, run_replicated_traced,
-    ReplicatedResult,
-};
+use simulator::runner::{ReplicatedResult, Replication};
 use simulator::strategies::{Cr, Dlb, DlbSwap, Nothing, Oracle, Strategy, Swap};
 use simulator::AppSpec;
 use swap_core::PolicyParams;
@@ -95,11 +91,11 @@ pub struct Scenario {
     pub strategies: Vec<StrategyRef>,
     /// Optional fault-injection scenario. Absent (or disabled) means the
     /// classic fault-free simulation; present and enabled means every
-    /// strategy runs its failure-aware variant against per-seed fault
-    /// plans derived deterministically from the replication seeds.
+    /// strategy runs against per-seed fault plans derived
+    /// deterministically from the replication seeds.
     #[serde(default)]
     pub faults: Option<FaultSpec>,
-    /// Optional decision-policy bundle for the failure-aware paths
+    /// Optional decision-policy bundle for the recovery decisions
     /// (spare placement + checkpoint cadence). Only consulted when fault
     /// injection is enabled; absent means the legacy inline choices,
     /// bit-for-bit. The rack-aware lookback defaults to the fault spec's
@@ -163,8 +159,9 @@ impl Scenario {
     }
 
     /// The materialized policy bundle, when both fault injection and a
-    /// policy config are present (policies are decision points of the
-    /// failure-aware paths, so they need faults to act on).
+    /// policy config are present (policies are decision points of
+    /// recoveries and fault-tolerant checkpoints, so they need faults to
+    /// act on).
     fn policy_set(&self) -> Option<policy::PolicySet> {
         let f = self.faults.as_ref().filter(|f| f.is_enabled())?;
         Some(self.policies.as_ref()?.build(f.shock_window_secs))
@@ -172,50 +169,17 @@ impl Scenario {
 
     /// Runs every strategy, in order.
     pub fn run(&self) -> Vec<ReplicatedResult> {
-        self.validate();
-        let seeds: Vec<u64> = (0..self.replications as u64).collect();
-        let policies = self.policy_set();
-        self.strategies
-            .iter()
-            .map(|sref| {
-                let (strategy, alloc) = sref.build(self.app.n_active, self.allocated);
-                match (self.faults.as_ref().filter(|f| f.is_enabled()), &policies) {
-                    (Some(f), Some(ps)) => run_replicated_policies(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                        f,
-                        ps,
-                    ),
-                    (Some(f), None) => run_replicated_faults(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                        f,
-                    ),
-                    (None, _) => run_replicated_jobs(
-                        &self.platform,
-                        &self.app,
-                        strategy.as_ref(),
-                        alloc,
-                        &seeds,
-                        self.jobs,
-                    ),
-                }
-            })
-            .collect()
+        self.run_each(false).0
     }
 
     /// Runs every strategy with tracing on, returning the results plus
     /// one [`obs::RunTrace`] per `(strategy, seed)`, labelled by strategy
     /// name, in deterministic (strategy-major, seed-minor) order.
     pub fn run_traced(&self) -> (Vec<ReplicatedResult>, obs::TraceBundle) {
+        self.run_each(true)
+    }
+
+    fn run_each(&self, trace: bool) -> (Vec<ReplicatedResult>, obs::TraceBundle) {
         self.validate();
         let seeds: Vec<u64> = (0..self.replications as u64).collect();
         let policies = self.policy_set();
@@ -225,36 +189,14 @@ impl Scenario {
             .iter()
             .map(|sref| {
                 let (strategy, alloc) = sref.build(self.app.n_active, self.allocated);
-                let (result, traces) =
-                    match (self.faults.as_ref().filter(|f| f.is_enabled()), &policies) {
-                        (Some(f), Some(ps)) => run_replicated_policies_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                            f,
-                            ps,
-                        ),
-                        (Some(f), None) => run_replicated_faults_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                            f,
-                        ),
-                        (None, _) => run_replicated_traced(
-                            &self.platform,
-                            &self.app,
-                            strategy.as_ref(),
-                            alloc,
-                            &seeds,
-                            self.jobs,
-                        ),
-                    };
+                let (result, traces) = Replication {
+                    jobs: self.jobs,
+                    faults: self.faults.as_ref(),
+                    policies: policies.as_ref(),
+                    trace,
+                    ..Replication::new(&self.platform, &self.app, alloc, &seeds)
+                }
+                .run(strategy.as_ref());
                 for (seed, trace) in seeds.iter().zip(traces) {
                     bundle.push(&result.strategy, *seed, trace);
                 }
@@ -268,6 +210,22 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn committed_template_matches_the_printed_one() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/scenario_template.json"
+        );
+        let committed = std::fs::read_to_string(path).expect("committed template");
+        let printed = serde_json::to_string_pretty(&Scenario::template()).unwrap();
+        assert_eq!(
+            committed.trim_end(),
+            printed,
+            "results/scenario_template.json is stale: regenerate it with \
+             `swapsim scenario --template > results/scenario_template.json`"
+        );
+    }
 
     #[test]
     fn template_round_trips_through_json() {

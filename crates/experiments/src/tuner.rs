@@ -9,7 +9,7 @@
 use crate::config::Scale;
 use crate::figures::{onoff_duty, platform};
 use serde::{Deserialize, Serialize};
-use simulator::runner::{run_replicated, run_replicated_jobs};
+use simulator::runner::{run_replicated, Replication};
 use simulator::strategies::{Nothing, Swap};
 use simulator::AppSpec;
 use swap_core::{HistoryWindow, PolicyParams, Predictor};
@@ -66,9 +66,14 @@ pub fn tune(duty: f64, state_bytes: f64, scale: &Scale) -> (f64, Vec<TunedPolicy
     let seeds = scale.seed_list();
     // The baseline fans over seeds; the grid then fans over policies —
     // both bit-identical to serial at any `jobs` setting.
-    let nothing = run_replicated_jobs(&spec, &app, &Nothing, 4, &seeds, scale.jobs)
-        .execution_time
-        .mean;
+    let nothing = Replication {
+        jobs: scale.jobs,
+        ..Replication::new(&spec, &app, 4, &seeds)
+    }
+    .run(&Nothing)
+    .0
+    .execution_time
+    .mean;
 
     let candidates = grid();
     let mut results: Vec<TunedPolicy> =

@@ -14,7 +14,7 @@
 use experiments::sweep::grid_sweep;
 use experiments::{timing, Scale};
 use simulator::platform::{LoadSpec, PlatformSpec};
-use simulator::runner::run_replicated_policies;
+use simulator::runner::Replication;
 use simulator::strategies::Swap;
 use simulator::AppSpec;
 use std::sync::Arc;
@@ -73,9 +73,15 @@ fn narrow_tournament_beats_the_serial_cell_utilization_ceiling_at_jobs_8() {
             faults::FaultSpec::crashes_only(mtbf, 0)
         };
         let ps = policy::PolicyConfig::for_placement(*placement).build(fs.shock_window_secs);
-        run_replicated_policies(&spec, &app, &Swap::safe(), 6, &seeds, 1, &fs, &ps)
-            .execution_time
-            .mean
+        Replication {
+            faults: Some(&fs),
+            policies: Some(&ps),
+            ..Replication::new(&spec, &app, 6, &seeds)
+        }
+        .run(&Swap::safe())
+        .0
+        .execution_time
+        .mean
     };
 
     let col = timing::Collection::begin("ext-policies-shaped", scale.jobs, scale.seeds);

@@ -86,10 +86,10 @@ impl RunResult {
 
 /// Outcome of one iteration's compute+communicate phases.
 ///
-/// The `Default` value is an empty scratch outcome for the `*_into`
-/// entry points: hoist one outside a strategy's iteration loop and the
-/// per-iteration `measured_rates`/`completions` vectors are recycled
-/// instead of reallocated.
+/// The `Default` value is an empty scratch outcome for
+/// [`run_iteration_into`]: hoist one outside a strategy's iteration loop
+/// and the per-iteration `measured_rates`/`completions` vectors are
+/// recycled instead of reallocated.
 #[derive(Clone, Debug, Default)]
 pub struct IterationOutcome {
     /// End of the compute phase.
@@ -181,131 +181,62 @@ pub fn probe_host(platform: &Platform, host: usize, t0: f64, t1: f64) -> f64 {
     platform.hosts[host].mean_delivered(t0, t1.max(t0))
 }
 
-/// One iteration attempted under a fault plan: either it completed, or
-/// one or more active hosts crashed before the collective.
+/// Applies the two fault effects a host's availability timeline cannot
+/// express to an iteration [`run_iteration_into`] just computed from
+/// `t0` (blackouts are already folded into the timelines, see
+/// [`Platform::apply_blackouts`]):
 ///
-/// Like [`IterationOutcome`], the `Default` value is a scratch for
-/// [`run_iteration_faults_into`].
-#[derive(Clone, Debug, Default)]
-pub struct FaultedIteration {
-    /// The iteration as it would have unfolded with no crash. Only
-    /// meaningful when `failed` is empty — strategies must discard it
-    /// (and re-run the iteration after recovering) otherwise.
-    pub outcome: IterationOutcome,
-    /// Active hosts whose permanent crash lands inside this iteration,
-    /// in `active` order. Empty means the iteration completed.
-    pub failed: Vec<usize>,
-    /// When the failure is *detected* (ULFM semantics: the death is
-    /// reported at the next collective): the survivors must reach the
-    /// barrier and the crash must have happened, so this is the max of
-    /// the survivors' compute completions and the failed hosts' crash
-    /// instants. Equal to `outcome.end` when nothing failed.
-    pub detected: f64,
-}
-
-/// Like [`run_iteration`], but under a [`faults::FaultPlan`]: blackouts
-/// are already folded into the host load timelines (see
-/// [`Platform::apply_blackouts`]), so this adds the two fault effects the
-/// timelines cannot express — permanent crashes (an active host whose
-/// crash instant falls inside the iteration fails it) and
-/// degraded-bandwidth windows on the shared link (the communication phase
-/// runs at the scaled bandwidth in force when it starts).
+/// * a degraded-bandwidth window in force when the barrier is reached
+///   reruns the communication phase at the scaled bandwidth;
+/// * an active host whose permanent crash lands at or before the
+///   iteration's end fails it (compute or communication phase alike:
+///   the collective cannot complete without it).
 ///
-/// # Panics
-/// Same contract as [`run_iteration`].
-pub fn run_iteration_faults(
+/// `failed` receives the crashed active hosts, in `active` order. The
+/// return value is `None` when the iteration completed, otherwise the
+/// instant the failure is *detected* (ULFM semantics: at the next
+/// collective) — the max of the survivors' compute completions and the
+/// failed hosts' crash instants. Strategies must discard `out` and
+/// re-run the iteration after recovering. An inert plan leaves `out`
+/// untouched, so a fault-free run computes exactly the arithmetic of
+/// [`run_iteration_into`].
+pub fn apply_fault_overlay(
     platform: &Platform,
     app: &AppSpec,
     active: &[usize],
-    work: &[f64],
     t0: f64,
     plan: &faults::FaultPlan,
-) -> FaultedIteration {
-    let mut fi = FaultedIteration::default();
-    run_iteration_faults_into(platform, app, active, work, t0, plan, &mut fi);
-    fi
-}
-
-/// [`run_iteration_faults`] writing into a caller-owned scratch, reusing
-/// its vectors across iterations. Identical arithmetic and contract;
-/// `fi`'s previous contents are fully overwritten.
-pub fn run_iteration_faults_into(
-    platform: &Platform,
-    app: &AppSpec,
-    active: &[usize],
-    work: &[f64],
-    t0: f64,
-    plan: &faults::FaultPlan,
-    fi: &mut FaultedIteration,
-) {
-    assert_eq!(active.len(), work.len(), "active/work length mismatch");
-    assert!(!active.is_empty(), "iteration needs at least one process");
-
-    let out = &mut fi.outcome;
-    let mut compute_end = t0;
-    out.completions.clear();
-    out.completions.reserve(active.len());
-    for (&host, &w) in active.iter().zip(work) {
-        let done = platform.hosts[host].cpu.completion_time(t0, w);
-        assert!(
-            done.is_finite(),
-            "host {host} can never finish {w} flops from t={t0}"
-        );
-        out.completions.push(done);
-        compute_end = compute_end.max(done);
+    out: &mut IterationOutcome,
+    failed: &mut Vec<usize>,
+) -> Option<f64> {
+    let factor = plan.link_factor_at(out.compute_end);
+    if factor < 1.0 {
+        let scaled = platform.link.scaled(factor);
+        out.end =
+            out.compute_end + scaled.bulk_transfer_time(active.len(), app.bytes_per_proc_iter);
     }
-
-    out.measured_rates.clear();
-    out.measured_rates.reserve(active.len());
-    for ((&host, &w), done) in active.iter().zip(work).zip(&out.completions) {
-        out.measured_rates.push(if *done > t0 && w > 0.0 {
-            w / (*done - t0)
-        } else {
-            platform.hosts[host].mean_delivered(t0, compute_end.max(t0 + 1.0))
-        });
-    }
-
-    // Communication at the (possibly degraded) bandwidth in force when
-    // the barrier is reached. The unscaled link is used verbatim when no
-    // window applies, so fault plans without link faults cannot perturb
-    // the arithmetic.
-    let factor = plan.link_factor_at(compute_end);
-    let link = if factor < 1.0 {
-        platform.link.scaled(factor)
-    } else {
-        platform.link
-    };
-    let comm = link.bulk_transfer_time(active.len(), app.bytes_per_proc_iter);
-    let end = compute_end + comm;
-    out.compute_end = compute_end;
-    out.end = end;
-
-    // A host fails the iteration if its crash lands before the iteration
-    // would have completed (compute or communication phase alike: the
-    // collective cannot complete without it).
-    fi.failed.clear();
-    fi.failed.extend(
+    let end = out.end;
+    failed.clear();
+    failed.extend(
         active
             .iter()
             .copied()
             .filter(|&h| plan.crash_time(h).is_some_and(|c| c <= end)),
     );
-    fi.detected = if fi.failed.is_empty() {
-        end
-    } else {
-        let survivors = active
-            .iter()
-            .zip(&fi.outcome.completions)
-            .filter(|(h, _)| !fi.failed.contains(h))
-            .map(|(_, &done)| done)
-            .fold(t0, f64::max);
-        let last_crash = fi
-            .failed
-            .iter()
-            .filter_map(|&h| plan.crash_time(h))
-            .fold(t0, f64::max);
-        survivors.max(last_crash)
-    };
+    if failed.is_empty() {
+        return None;
+    }
+    let survivors = active
+        .iter()
+        .zip(&out.completions)
+        .filter(|(h, _)| !failed.contains(h))
+        .map(|(_, &done)| done)
+        .fold(t0, f64::max);
+    let last_crash = failed
+        .iter()
+        .filter_map(|&h| plan.crash_time(h))
+        .fold(t0, f64::max);
+    Some(survivors.max(last_crash))
 }
 
 /// Alternative communication model: **eager overlap**. Each process
@@ -446,6 +377,35 @@ mod tests {
         assert!((out.compute_end - 15.0).abs() < 1e-9);
         let rate = out.measured_rates[0];
         assert!((rate - 1e9 / 15.0).abs() < 1.0, "rate {rate}");
+    }
+
+    #[test]
+    fn fault_overlay_rescales_comm_and_detects_crashes() {
+        let p = unloaded_platform();
+        let a = app();
+        let (active, work) = ([0, 1], [1e9, 1e9]);
+        let mut out = IterationOutcome::default();
+        let mut failed = vec![3];
+        run_iteration_into(&p, &a, &active, &work, 0.0, &mut out);
+        let plain = (out.compute_end, out.end);
+        let inert = faults::FaultPlan::empty(4, 1e5);
+        let detected = apply_fault_overlay(&p, &a, &active, 0.0, &inert, &mut out, &mut failed);
+        assert_eq!((detected, failed.len()), (None, 0));
+        assert_eq!((out.compute_end, out.end), plain);
+
+        let mut plan = inert.clone();
+        plan.link.push(faults::LinkDegradedWindow {
+            start: 5.0,
+            end: 15.0,
+            factor: 0.5,
+        });
+        plan.hosts[1].crash = Some(7.0);
+        let detected = apply_fault_overlay(&p, &a, &active, 0.0, &plan, &mut out, &mut failed);
+        // The barrier (10 s) falls in the window: 2 × 6 MB at 3 MB/s.
+        assert!((out.end - 14.0).abs() < 1e-9, "end {}", out.end);
+        assert_eq!(failed, [1]);
+        // Reported once the survivor reaches the barrier, after the crash.
+        assert_eq!(detected, Some(10.0));
     }
 
     #[test]

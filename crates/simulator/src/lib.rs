@@ -14,6 +14,13 @@
 //! * [`strategies::Cr`] — checkpoint/restart driven by the same decision
 //!   criteria as swapping.
 //!
+//! Two more strategies go beyond the paper: [`strategies::DlbSwap`]
+//! (rebalancing plus swapping over the over-allocated pool) and
+//! [`strategies::Oracle`] (free, clairvoyant migration — an upper bound).
+//! Every strategy is one iteration loop; fault injection
+//! ([`strategies::RunContext::with_faults`]) adds recovery branches that
+//! a fault-free run never takes.
+//!
 //! The execution model is BSP: each iteration every active process
 //! computes its share (its completion time follows the host's
 //! time-varying availability exactly, via `simkit::Timeline::advance`),
@@ -41,5 +48,5 @@ pub mod strategies;
 pub use app::AppSpec;
 pub use exec::{IterationRecord, RunResult};
 pub use platform::{Host, LoadSpec, Platform, PlatformSpec};
-pub use runner::{run_replicated, run_replicated_faults, Summary};
-pub use strategies::{Cr, Dlb, DlbSwap, Nothing, Strategy, Swap};
+pub use runner::{run_replicated, Replication, Summary};
+pub use strategies::{Cr, Dlb, DlbSwap, Nothing, Oracle, Strategy, Swap};

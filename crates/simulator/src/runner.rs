@@ -185,7 +185,7 @@ impl RealizationCache {
 
 /// Shared accumulator behind a cell scope; worker threads running the
 /// cell's nested sub-tasks update it through the `Arc` captured at
-/// [`run_replicated`] entry (thread-locals don't cross pool threads).
+/// [`Replication::run`] entry (thread-locals don't cross pool threads).
 struct CellAccum {
     nested_jobs: usize,
     cache: Option<Arc<RealizationCache>>,
@@ -256,7 +256,7 @@ impl Drop for CellGuard {
 }
 
 /// Opens a cell scope on the current thread until the guard drops:
-/// every [`run_replicated`]-family call made underneath it fans its
+/// every [`Replication::run`] made underneath it fans its
 /// per-seed loop out as up to `nested_jobs` sub-tasks (through the
 /// installed worker pool when there is one) and realizes its inputs
 /// through `cache` when one is given. Scopes nest; the innermost wins.
@@ -280,9 +280,9 @@ pub fn enter_cell(nested_jobs: usize, cache: Option<Arc<RealizationCache>>) -> C
 }
 
 /// Runs `strategy` on `seeds.len()` independent realizations of
-/// `spec`/`app`, allocating `allocated` processes. Replications run
-/// serially; see [`run_replicated_jobs`] for the multi-threaded form
-/// (both produce bit-identical results).
+/// `spec`/`app`, allocating `allocated` processes — serially, fault-free,
+/// untraced. [`Replication`] is the general form (worker threads, fault
+/// injection, policies, tracing) with bit-identical results.
 ///
 /// The example asserts structural properties that hold for every seed
 /// set (paired seeds, coherent statistics, NOTHING never adapting) —
@@ -326,300 +326,229 @@ pub fn run_replicated(
     allocated: usize,
     seeds: &[u64],
 ) -> ReplicatedResult {
-    run_replicated_jobs(spec, app, strategy, allocated, seeds, 1)
+    Replication::new(spec, app, allocated, seeds)
+        .run(strategy)
+        .0
 }
 
-/// Like [`run_replicated`], but fans the per-seed simulations out over
-/// up to `jobs` worker threads (`0` = all available parallelism).
+/// A replicated experiment: one strategy run on `seeds.len()`
+/// independent realizations of `spec`/`app`. Start from
+/// [`Replication::new`] (serial, fault-free, untraced) and set the
+/// fields that differ:
 ///
-/// Each replication is a pure function of its seed — the platform is
-/// realized from the seed inside the worker — and results land in
-/// pre-indexed slots, so the output is **bit-identical** to the serial
-/// run regardless of scheduling; only the wall-clock changes.
+/// ```
+/// use simulator::platform::{LoadSpec, PlatformSpec};
+/// use simulator::runner::Replication;
+/// use simulator::strategies::Swap;
+/// use simulator::AppSpec;
 ///
-/// # Panics
-/// Panics if `seeds` is empty.
-pub fn run_replicated_jobs(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-) -> ReplicatedResult {
-    run_replicated_inner(
-        spec, app, strategy, allocated, seeds, jobs, false, None, None,
-    )
-    .0
-}
-
-/// Like [`run_replicated_jobs`], with deterministic fault injection.
+/// let spec = PlatformSpec::hpdc03(LoadSpec::Unloaded);
+/// let mut app = AppSpec::hpdc03(4, 1e6);
+/// app.iterations = 5;
+/// let faults = faults::FaultSpec::crashes_only(3_000.0, 0);
+/// let (result, traces) = Replication {
+///     jobs: 2,
+///     faults: Some(&faults),
+///     trace: true,
+///     ..Replication::new(&spec, &app, 8, &[0, 1])
+/// }
+/// .run(&Swap::greedy());
+/// assert_eq!(result.runs.len(), 2);
+/// assert_eq!(traces.len(), 2);
+/// ```
 ///
-/// For each seed a [`faults::FaultPlan`] is generated from the spec and
-/// the replication seed, the host timelines gain the plan's blackout
-/// windows, and the strategy runs its failure-aware variant. A disabled
-/// spec (`faults.is_enabled() == false`) takes exactly the fault-free
-/// code path, so results are bit-identical to [`run_replicated_jobs`].
-pub fn run_replicated_faults(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-    faults: &faults::FaultSpec,
-) -> ReplicatedResult {
-    run_replicated_inner(
-        spec,
-        app,
-        strategy,
-        allocated,
-        seeds,
-        jobs,
-        false,
-        Some(faults),
-        None,
-    )
-    .0
+/// Each replication is a pure function of its seed — the platform (and
+/// fault plan) is realized from the seed inside the worker — and results
+/// land in pre-indexed slots, so the output is **bit-identical** at any
+/// `jobs` and under any cell scope ([`enter_cell`]); only the wall-clock
+/// changes.
+#[derive(Clone, Copy)]
+pub struct Replication<'a> {
+    /// The platform to realize once per seed.
+    pub spec: &'a PlatformSpec,
+    /// The application.
+    pub app: &'a AppSpec,
+    /// Processes the strategy allocates (see [`RunContext::new`]).
+    pub allocated: usize,
+    /// One replication per seed, reported in this order.
+    pub seeds: &'a [u64],
+    /// Worker threads for the seeds (`0` = all available parallelism).
+    pub jobs: usize,
+    /// Deterministic fault injection. For each seed a
+    /// [`faults::FaultPlan`] is generated from the spec and the seed, the
+    /// host timelines gain the plan's blackout windows, and the strategy
+    /// runs against the plan. `None` or a disabled spec runs without a
+    /// plan, bit-identical to the fault-free run.
+    pub faults: Option<&'a faults::FaultSpec>,
+    /// A policy bundle the strategy consults at its placement and
+    /// checkpoint decision points instead of the legacy inline choices.
+    /// With [`policy::PolicySet::legacy`] the simulated timings are
+    /// identical to running without one.
+    pub policies: Option<&'a policy::PolicySet>,
+    /// Record each seed's event stream. Traces carry *simulated* time
+    /// only, so they are bit-identical at any `jobs`. After each run the
+    /// host load timelines are appended as
+    /// [`obs::TraceEvent::LoadChange`] events and every injected fault
+    /// as [`obs::TraceEvent::FaultInjected`], clipped to the run's span.
+    pub trace: bool,
 }
 
-/// Like [`run_replicated_faults`], with a policy bundle attached: the
-/// strategy consults `policies` at its placement and checkpoint decision
-/// points instead of the legacy inline choices. With
-/// [`policy::PolicySet::legacy`] the simulated timings are identical to
-/// [`run_replicated_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_policies(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-    faults: &faults::FaultSpec,
-    policies: &policy::PolicySet,
-) -> ReplicatedResult {
-    run_replicated_inner(
-        spec,
-        app,
-        strategy,
-        allocated,
-        seeds,
-        jobs,
-        false,
-        Some(faults),
-        Some(policies),
-    )
-    .0
-}
-
-/// Traced form of [`run_replicated_policies`]: the traces additionally
-/// carry one [`obs::TraceEvent::PolicyDecision`] per placement
-/// consultation (ranked candidates plus the chosen spare).
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_policies_traced(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-    faults: &faults::FaultSpec,
-    policies: &policy::PolicySet,
-) -> (ReplicatedResult, Vec<obs::Trace>) {
-    let (result, traces) = run_replicated_inner(
-        spec,
-        app,
-        strategy,
-        allocated,
-        seeds,
-        jobs,
-        true,
-        Some(faults),
-        Some(policies),
-    );
-    (result, traces.expect("tracing was requested"))
-}
-
-/// Traced form of [`run_replicated_faults`]: every injected fault
-/// (crashes, blackout windows, link-degradation windows) is appended to
-/// the trace as [`obs::TraceEvent::FaultInjected`], clipped to the run's
-/// span, alongside the strategies' detection/recovery events.
-pub fn run_replicated_faults_traced(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-    faults: &faults::FaultSpec,
-) -> (ReplicatedResult, Vec<obs::Trace>) {
-    let (result, traces) = run_replicated_inner(
-        spec,
-        app,
-        strategy,
-        allocated,
-        seeds,
-        jobs,
-        true,
-        Some(faults),
-        None,
-    );
-    (result, traces.expect("tracing was requested"))
-}
-
-/// Like [`run_replicated_jobs`], additionally recording each seed's
-/// event stream. The returned traces are in seed order and carry
-/// *simulated* time only, so they are bit-identical at any `jobs` —
-/// worker scheduling affects neither the events nor their order.
-///
-/// After each run the host load timelines are appended as
-/// [`obs::TraceEvent::LoadChange`] events (clipped to the run's span),
-/// so exporters can show the external load under the compute tracks.
-pub fn run_replicated_traced(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-) -> (ReplicatedResult, Vec<obs::Trace>) {
-    let (result, traces) = run_replicated_inner(
-        spec, app, strategy, allocated, seeds, jobs, true, None, None,
-    );
-    (result, traces.expect("tracing was requested"))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_replicated_inner(
-    spec: &PlatformSpec,
-    app: &AppSpec,
-    strategy: &dyn Strategy,
-    allocated: usize,
-    seeds: &[u64],
-    jobs: usize,
-    trace: bool,
-    faults: Option<&faults::FaultSpec>,
-    policies: Option<&policy::PolicySet>,
-) -> (ReplicatedResult, Option<Vec<obs::Trace>>) {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let faults = faults.filter(|f| f.is_enabled());
-    let cell = current_cell();
-    let cache = cell.as_ref().and_then(|c| c.cache.clone());
-    // Cache keys are serialized once per call, not once per seed; the
-    // full JSON (not a hash) is the collision-proof fingerprint.
-    let key_prefix = cache.as_ref().map(|_| {
-        (
-            serde_json::to_string(spec).expect("platform specs serialize"),
-            faults.map_or_else(String::new, |f| {
-                serde_json::to_string(f).expect("fault specs serialize")
-            }),
-        )
-    });
-    let run_one = |seed: u64| -> (RunResult, f64, Option<obs::Trace>) {
-        let t0 = std::time::Instant::now();
-        let realized = match (&cache, &key_prefix) {
-            (Some(cache), Some((spec_json, fault_json))) => {
-                let (realized, hit) = cache
-                    .inner
-                    .get_or_insert_with(&(spec_json.clone(), fault_json.clone(), seed), || {
-                        realize_one(spec, faults, seed)
-                    });
-                if let Some(cell) = &cell {
-                    let counter = if hit {
-                        &cell.cache_hits
-                    } else {
-                        &cell.cache_misses
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-                realized
-            }
-            _ => realize_one(spec, faults, seed),
-        };
-        let mut ctx = RunContext::new(&realized.platform, app, allocated);
-        if let Some(plan) = realized.plan.as_deref() {
-            ctx = ctx.with_faults(plan);
-        }
-        if let Some(ps) = policies {
-            ctx = ctx.with_policies(ps);
-        }
-        let collector = trace.then(obs::Collector::new);
-        if let Some(c) = &collector {
-            ctx = ctx.with_trace(c);
-        }
-        let run = strategy.run(&ctx);
-        let trace = collector.map(|c| {
-            let mut t = c.into_trace();
-            append_load_changes(&mut t, &realized.platform, run.execution_time);
-            if let Some(plan) = realized.plan.as_deref() {
-                append_fault_events(&mut t, plan, run.execution_time);
-            }
-            t
-        });
-        (run, t0.elapsed().as_secs_f64(), trace)
-    };
-    let nested = cell
-        .as_ref()
-        .map_or(1, |c| c.nested_jobs)
-        .min(seeds.len())
-        .max(1);
-    let timed_runs: Vec<(RunResult, f64, Option<obs::Trace>)> = if nested > 1 {
-        // Fan the seeds out as `nested` contiguous chunks through the
-        // installed pool (bounded sub-tasks at the figure's priority;
-        // the pool's submitter-helping keeps this deadlock-free from a
-        // worker thread). Chunks reassemble in seed order, so the
-        // result is bit-identical to the serial loop.
-        let chunk_len = seeds.len().div_ceil(nested);
-        let chunks: Vec<&[u64]> = seeds.chunks(chunk_len).collect();
-        let (chunked, stats) = simkit::pool::map_stats_installed(&chunks, nested, |_, chunk| {
-            chunk.iter().map(|&s| run_one(s)).collect::<Vec<_>>()
-        });
-        if let Some(cell) = &cell {
-            cell.nested_jobs_used
-                .fetch_max(chunks.len(), Ordering::Relaxed);
-            // The submitting worker helped run sub-tasks, but that time
-            // is already inside the enclosing sweep item's busy window
-            // — zero its slot so figure-level busy counts it once.
-            let mut busy = stats.worker_busy_secs;
-            if let Some(slot) = simkit::par::worker_slot() {
-                if let Some(b) = busy.get_mut(slot) {
-                    *b = 0.0;
-                }
-            }
-            let mut acc = cell.worker_busy_secs.lock().expect("cell busy lock");
-            if acc.len() < busy.len() {
-                acc.resize(busy.len(), 0.0);
-            }
-            for (slot, &b) in busy.iter().enumerate() {
-                acc[slot] += b;
-            }
-        }
-        chunked.into_iter().flatten().collect()
-    } else {
-        simkit::par::par_map(seeds, jobs, |_, &seed| run_one(seed))
-    };
-    let mut runs = Vec::with_capacity(timed_runs.len());
-    let mut seed_wall_secs = Vec::with_capacity(timed_runs.len());
-    let mut traces = trace.then(Vec::new);
-    for (run, wall, t) in timed_runs {
-        runs.push(run);
-        seed_wall_secs.push(wall);
-        if let (Some(traces), Some(t)) = (&mut traces, t) {
-            traces.push(t);
+impl<'a> Replication<'a> {
+    /// A serial, fault-free, untraced replication of `seeds`.
+    pub fn new(
+        spec: &'a PlatformSpec,
+        app: &'a AppSpec,
+        allocated: usize,
+        seeds: &'a [u64],
+    ) -> Self {
+        Replication {
+            spec,
+            app,
+            allocated,
+            seeds,
+            jobs: 1,
+            faults: None,
+            policies: None,
+            trace: false,
         }
     }
-    let times: Vec<f64> = runs.iter().map(|r| r.execution_time).collect();
-    let result = ReplicatedResult {
-        strategy: strategy.name(),
-        execution_time: summarize(&times),
-        mean_adaptations: runs.iter().map(|r| r.adaptations as f64).sum::<f64>()
-            / runs.len() as f64,
-        mean_adapt_time: runs.iter().map(|r| r.adapt_time_total).sum::<f64>() / runs.len() as f64,
-        runs,
-        seed_wall_secs,
-    };
-    (result, traces)
+
+    /// Runs `strategy` once per seed and aggregates the results. The
+    /// traces are in seed order when `trace` is set, empty otherwise.
+    ///
+    /// # Panics
+    /// Panics if `seeds` is empty.
+    pub fn run(&self, strategy: &dyn Strategy) -> (ReplicatedResult, Vec<obs::Trace>) {
+        let Replication {
+            spec,
+            app,
+            allocated,
+            seeds,
+            jobs,
+            faults,
+            policies,
+            trace,
+        } = *self;
+        assert!(!seeds.is_empty(), "need at least one seed");
+        let faults = faults.filter(|f| f.is_enabled());
+        let cell = current_cell();
+        let cache = cell.as_ref().and_then(|c| c.cache.clone());
+        // Cache keys are serialized once per call, not once per seed; the
+        // full JSON (not a hash) is the collision-proof fingerprint.
+        let key_prefix = cache.as_ref().map(|_| {
+            (
+                serde_json::to_string(spec).expect("platform specs serialize"),
+                faults.map_or_else(String::new, |f| {
+                    serde_json::to_string(f).expect("fault specs serialize")
+                }),
+            )
+        });
+        let run_one = |seed: u64| -> (RunResult, f64, Option<obs::Trace>) {
+            let t0 = std::time::Instant::now();
+            let realized = match (&cache, &key_prefix) {
+                (Some(cache), Some((spec_json, fault_json))) => {
+                    let (realized, hit) = cache
+                        .inner
+                        .get_or_insert_with(&(spec_json.clone(), fault_json.clone(), seed), || {
+                            realize_one(spec, faults, seed)
+                        });
+                    if let Some(cell) = &cell {
+                        let counter = if hit {
+                            &cell.cache_hits
+                        } else {
+                            &cell.cache_misses
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    realized
+                }
+                _ => realize_one(spec, faults, seed),
+            };
+            let mut ctx = RunContext::new(&realized.platform, app, allocated);
+            if let Some(plan) = realized.plan.as_deref() {
+                ctx = ctx.with_faults(plan);
+            }
+            if let Some(ps) = policies {
+                ctx = ctx.with_policies(ps);
+            }
+            let collector = trace.then(obs::Collector::new);
+            if let Some(c) = &collector {
+                ctx = ctx.with_trace(c);
+            }
+            let run = strategy.run(&ctx);
+            let trace = collector.map(|c| {
+                let mut t = c.into_trace();
+                append_load_changes(&mut t, &realized.platform, run.execution_time);
+                if let Some(plan) = realized.plan.as_deref() {
+                    append_fault_events(&mut t, plan, run.execution_time);
+                }
+                t
+            });
+            (run, t0.elapsed().as_secs_f64(), trace)
+        };
+        let nested = cell
+            .as_ref()
+            .map_or(1, |c| c.nested_jobs)
+            .min(seeds.len())
+            .max(1);
+        let timed_runs: Vec<(RunResult, f64, Option<obs::Trace>)> = if nested > 1 {
+            // Fan the seeds out as `nested` contiguous chunks through the
+            // installed pool (bounded sub-tasks at the figure's priority;
+            // the pool's submitter-helping keeps this deadlock-free from
+            // a worker thread). Chunks reassemble in seed order, so the
+            // result is bit-identical to the serial loop.
+            let chunk_len = seeds.len().div_ceil(nested);
+            let chunks: Vec<&[u64]> = seeds.chunks(chunk_len).collect();
+            let (chunked, stats) =
+                simkit::pool::map_stats_installed(&chunks, nested, |_, chunk| {
+                    chunk.iter().map(|&s| run_one(s)).collect::<Vec<_>>()
+                });
+            if let Some(cell) = &cell {
+                cell.nested_jobs_used
+                    .fetch_max(chunks.len(), Ordering::Relaxed);
+                // The submitting worker helped run sub-tasks, but that
+                // time is already inside the enclosing sweep item's busy
+                // window — zero its slot so figure-level busy counts it
+                // once.
+                let mut busy = stats.worker_busy_secs;
+                if let Some(slot) = simkit::par::worker_slot() {
+                    if let Some(b) = busy.get_mut(slot) {
+                        *b = 0.0;
+                    }
+                }
+                let mut acc = cell.worker_busy_secs.lock().expect("cell busy lock");
+                if acc.len() < busy.len() {
+                    acc.resize(busy.len(), 0.0);
+                }
+                for (slot, &b) in busy.iter().enumerate() {
+                    acc[slot] += b;
+                }
+            }
+            chunked.into_iter().flatten().collect()
+        } else {
+            simkit::par::par_map(seeds, jobs, |_, &seed| run_one(seed))
+        };
+        let mut runs = Vec::with_capacity(timed_runs.len());
+        let mut seed_wall_secs = Vec::with_capacity(timed_runs.len());
+        let mut traces = Vec::new();
+        for (run, wall, t) in timed_runs {
+            runs.push(run);
+            seed_wall_secs.push(wall);
+            traces.extend(t);
+        }
+        let times: Vec<f64> = runs.iter().map(|r| r.execution_time).collect();
+        let result = ReplicatedResult {
+            strategy: strategy.name(),
+            execution_time: summarize(&times),
+            mean_adaptations: runs.iter().map(|r| r.adaptations as f64).sum::<f64>()
+                / runs.len() as f64,
+            mean_adapt_time: runs.iter().map(|r| r.adapt_time_total).sum::<f64>()
+                / runs.len() as f64,
+            runs,
+            seed_wall_secs,
+        };
+        (result, traces)
+    }
 }
 
 /// Appends the realized external-load breakpoints of every host as
@@ -796,8 +725,15 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)));
         let app = tiny_app();
         let seeds = default_seeds(4);
-        let plain = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
-        let (traced, traces) = run_replicated_traced(&spec, &app, &Swap::greedy(), 4, &seeds, 2);
+        let plain = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
+        let (traced, traces) = Replication {
+            jobs: 2,
+            trace: true,
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Swap::greedy());
         // Tracing must not perturb the simulation.
         assert_eq!(traced.execution_time, plain.execution_time);
         assert_eq!(traces.len(), seeds.len());
@@ -828,9 +764,18 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)));
         let app = tiny_app();
         let seeds = default_seeds(6);
-        let (_, serial) = run_replicated_traced(&spec, &app, &Cr::greedy(), 4, &seeds, 1);
+        let (_, serial) = Replication {
+            trace: true,
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Cr::greedy());
         for jobs in [2, 4] {
-            let (_, parallel) = run_replicated_traced(&spec, &app, &Cr::greedy(), 4, &seeds, jobs);
+            let (_, parallel) = Replication {
+                jobs,
+                trace: true,
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(&Cr::greedy());
             assert_eq!(parallel, serial, "jobs {jobs}");
         }
     }
@@ -841,9 +786,16 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)));
         let app = tiny_app();
         let seeds = default_seeds(4);
-        let plain = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let plain = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         let off = faults::FaultSpec::disabled();
-        let faulted = run_replicated_faults(&spec, &app, &Swap::greedy(), 4, &seeds, 1, &off);
+        let faulted = Replication {
+            faults: Some(&off),
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Swap::greedy())
+        .0;
         for (a, b) in faulted.runs.iter().zip(&plain.runs) {
             assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
         }
@@ -858,8 +810,18 @@ mod tests {
         app.iterations = 40;
         let fs = faults::FaultSpec::crashes_only(600.0, 7);
         let seeds = default_seeds(8);
-        let swap = run_replicated_faults(&spec, &app, &Swap::greedy(), 4, &seeds, 1, &fs);
-        let nothing = run_replicated_faults(&spec, &app, &Nothing, 2, &seeds, 1, &fs);
+        let swap = Replication {
+            faults: Some(&fs),
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Swap::greedy())
+        .0;
+        let nothing = Replication {
+            faults: Some(&fs),
+            ..Replication::new(&spec, &app, 2, &seeds)
+        }
+        .run(&Nothing)
+        .0;
         let crashes: usize = swap.runs.iter().map(|r| r.failures).sum();
         assert!(crashes > 0, "no crash landed inside any replication");
         // Every SWAP failure is recovered through a spare (until stranded);
@@ -887,11 +849,20 @@ mod tests {
             ..faults::FaultSpec::crashes_only(1_500.0, 11)
         };
         let seeds = default_seeds(6);
-        let (serial_r, serial) =
-            run_replicated_faults_traced(&spec, &app, &Cr::greedy(), 4, &seeds, 1, &fs);
+        let (serial_r, serial) = Replication {
+            faults: Some(&fs),
+            trace: true,
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Cr::greedy());
         for jobs in [2, 4] {
-            let (par_r, parallel) =
-                run_replicated_faults_traced(&spec, &app, &Cr::greedy(), 4, &seeds, jobs, &fs);
+            let (par_r, parallel) = Replication {
+                jobs,
+                faults: Some(&fs),
+                trace: true,
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(&Cr::greedy());
             assert_eq!(parallel, serial, "jobs {jobs}");
             for (a, b) in par_r.runs.iter().zip(&serial_r.runs) {
                 assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
@@ -916,8 +887,19 @@ mod tests {
         let seeds = default_seeds(6);
         let legacy = policy::PolicySet::legacy();
         for strategy in [&Swap::greedy() as &dyn Strategy, &Cr::greedy()] {
-            let plain = run_replicated_faults(&spec, &app, strategy, 4, &seeds, 1, &fs);
-            let with = run_replicated_policies(&spec, &app, strategy, 4, &seeds, 1, &fs, &legacy);
+            let plain = Replication {
+                faults: Some(&fs),
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(strategy)
+            .0;
+            let with = Replication {
+                faults: Some(&fs),
+                policies: Some(&legacy),
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(strategy)
+            .0;
             for (a, b) in with.runs.iter().zip(&plain.runs) {
                 assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
                 assert_eq!(a.recoveries, b.recoveries);
@@ -935,8 +917,14 @@ mod tests {
         let seeds = default_seeds(6);
         let set =
             policy::PolicyConfig::for_placement(policy::PlacementChoice::MtbfAware).build(0.0);
-        let (result, traces) =
-            run_replicated_policies_traced(&spec, &app, &Swap::greedy(), 4, &seeds, 2, &fs, &set);
+        let (result, traces) = Replication {
+            jobs: 2,
+            faults: Some(&fs),
+            policies: Some(&set),
+            trace: true,
+            ..Replication::new(&spec, &app, 4, &seeds)
+        }
+        .run(&Swap::greedy());
         let recoveries: usize = result.runs.iter().map(|r| r.recoveries).sum();
         assert!(recoveries > 0, "no crash recovered in any replication");
         let decisions = traces
@@ -970,14 +958,26 @@ mod tests {
         // Baseline: no scope, no cache — the pre-existing path.
         let baselines: Vec<_> = strategies
             .iter()
-            .map(|s| run_replicated_faults_traced(&spec, &app, *s, 4, &seeds, 1, &fs))
+            .map(|s| {
+                Replication {
+                    faults: Some(&fs),
+                    trace: true,
+                    ..Replication::new(&spec, &app, 4, &seeds)
+                }
+                .run(*s)
+            })
             .collect();
         // Scoped: shared cache (warm after the first strategy) plus a
         // nested fan-out wider than the seed count.
         let cache = Arc::new(RealizationCache::new());
         let cell = enter_cell(4, Some(Arc::clone(&cache)));
         for (s, (base_r, base_t)) in strategies.iter().zip(&baselines) {
-            let (r, t) = run_replicated_faults_traced(&spec, &app, *s, 4, &seeds, 1, &fs);
+            let (r, t) = Replication {
+                faults: Some(&fs),
+                trace: true,
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(*s);
             assert_eq!(&t, base_t, "{} trace differs under cell scope", s.name());
             for (a, b) in r.runs.iter().zip(&base_r.runs) {
                 assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
@@ -1002,10 +1002,14 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.4, 0.1, 20.0)));
         let app = tiny_app();
         let seeds = [1u64, 2, 1, 2, 3];
-        let plain = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let plain = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         let cache = Arc::new(RealizationCache::new());
         let cell = enter_cell(1, Some(Arc::clone(&cache)));
-        let cached = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let cached = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         for (a, b) in cached.runs.iter().zip(&plain.runs) {
             assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
         }
@@ -1023,11 +1027,15 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)));
         let app = tiny_app();
         let seeds = default_seeds(9);
-        let serial = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let serial = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         let pool = Arc::new(simkit::pool::WorkerPool::new(3));
         let _pg = simkit::pool::install(&pool, 0);
         let cell = enter_cell(3, None);
-        let nested = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let nested = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         assert_eq!(nested.execution_time, serial.execution_time);
         for (a, b) in nested.runs.iter().zip(&serial.runs) {
             assert_eq!(a.execution_time.to_bits(), b.execution_time.to_bits());
@@ -1043,9 +1051,16 @@ mod tests {
         let spec = tiny_spec(LoadSpec::OnOff(OnOffSource::for_duty_cycle(0.5, 0.2, 20.0)));
         let app = tiny_app();
         let seeds = default_seeds(9);
-        let serial = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, 1);
+        let serial = Replication::new(&spec, &app, 4, &seeds)
+            .run(&Swap::greedy())
+            .0;
         for jobs in [0, 2, 3, 8] {
-            let parallel = run_replicated_jobs(&spec, &app, &Swap::greedy(), 4, &seeds, jobs);
+            let parallel = Replication {
+                jobs,
+                ..Replication::new(&spec, &app, 4, &seeds)
+            }
+            .run(&Swap::greedy())
+            .0;
             assert_eq!(
                 parallel.execution_time, serial.execution_time,
                 "jobs {jobs}"

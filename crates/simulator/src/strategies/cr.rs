@@ -13,11 +13,11 @@
 //! best-predicted processors in the allocated pool), but pays the full
 //! checkpoint write + MPI restart + checkpoint read each time.
 
-use super::{policy_candidates, rank_by_probe, RunContext, Strategy};
-use crate::exec::{probe_host, run_iteration, run_iteration_faults, IterationRecord, RunResult};
+use super::swap::Manager;
+use super::{rank_replacements, Run, RunContext, Strategy};
+use crate::exec::RunResult;
 use crate::schedule::{equal_partition, fastest_hosts};
-use std::collections::HashMap;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use swap_core::{DecisionEngine, PolicyParams, ProcessorSnapshot, SwapCost};
 
 /// Checkpoint/restart driven by the same decision criteria as swapping.
 #[derive(Clone, Copy, Debug)]
@@ -52,39 +52,62 @@ impl Cr {
         let read = write;
         write + ctx.platform.startup_time(n) + read
     }
+}
 
-    /// Failure-aware variant: classic fault-tolerant checkpoint/restart.
-    /// Every `plan.checkpoint_every` completed iterations the application
-    /// writes a checkpoint (pausing for the N-process bulk write); when
-    /// an active host crashes, the run rolls back to the last checkpoint
-    /// (losing everything since), pays the restart cost (read + MPI
-    /// startup), and resumes on the `N` best surviving hosts in the pool.
-    /// The performance-triggered relocations of the fault-free CR are
-    /// disabled in this mode — the checkpoint cadence is the fault
-    /// tolerance knob, not a performance policy. If fewer than `N` pool
-    /// hosts survive, the run is censored at the plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
+/// What CR does at the end of a completed iteration. Whether a fault plan
+/// is attached to the run picks the mode.
+enum Mode {
+    /// No plan: the paper's CR. The swap manager measures every pool host
+    /// and, whenever the swap criteria fire, the application checkpoints
+    /// and restarts on the `N` best-predicted processors, paying
+    /// [`Cr::restart_cost`].
+    Relocate(Manager),
+    /// A plan: classic fault-tolerant checkpointing. Every
+    /// `plan.checkpoint_every` completed iterations (or as the policy
+    /// bundle's checkpoint policy says) the application writes a
+    /// checkpoint, pausing for the N-process bulk write. The
+    /// performance-triggered relocations are off: the cadence is the
+    /// fault tolerance knob, not a performance policy.
+    Checkpoint,
+}
+
+impl Strategy for Cr {
+    fn name(&self) -> String {
+        "cr".to_owned()
+    }
+
+    /// One loop for both adaptation modes: with no fault plan attached,
+    /// CR relocates whenever the swap criteria fire (the paper's CR);
+    /// with one, it checkpoints on a cadence instead. On a crash the
+    /// run rolls back to the last checkpoint (losing everything since),
+    /// pays the restart cost (read + MPI startup), and resumes on the `N`
+    /// best surviving hosts in the pool. If fewer than `N` pool hosts
+    /// survive, the run is censored at the plan's horizon.
+    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
+        let plan = ctx.plan();
         let app = ctx.app;
         let n = app.n_active;
         let alloc = ctx.allocated;
-
         let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
         let mut active: Vec<usize> = pool[..n].to_vec();
+        let mut mode = match ctx.faults {
+            None => {
+                let engine =
+                    DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
+                Mode::Relocate(Manager::new(engine, &pool))
+            }
+            Some(_) => Mode::Checkpoint,
+        };
 
-        let startup = ctx.platform.startup_time(alloc);
         let ckpt_write = ctx
             .platform
             .link
             .bulk_transfer_time(n, app.process_state_bytes);
         let restart_pause = ckpt_write + ctx.platform.startup_time(n);
+        let cycle_cost = Cr::restart_cost(ctx);
         let every = plan.checkpoint_every.max(1);
-        let mut t = startup;
         let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut restarts = 0usize;
-        let mut adapt_total = 0.0;
-        let (mut failures, mut recoveries) = (0usize, 0usize);
-        let mut truncated = false;
+        let mut run = Run::new(ctx, &plan, self.name(), ctx.platform.startup_time(alloc));
         // Iteration index the last durable checkpoint covers (state as of
         // the *start* of this index). Index 0 is free: the input deck.
         let mut ckpt_index = 0usize;
@@ -94,250 +117,110 @@ impl Cr {
         let mut iter_secs_sum = 0.0;
         let mut iters_run = 0usize;
 
-        let mut index = 0;
-        while index < app.iterations {
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
+        while !run.done() {
+            if let Some(detected) = run.attempt(&active, &work) {
                 pool.retain(|&h| !plan.is_crashed(h, detected));
                 if pool.len() < n {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
+                    return run.truncate(detected);
                 }
                 // Roll back: re-read the checkpoint, restart the N
                 // application processes on the best survivors, and lose
                 // every iteration since the checkpoint.
-                let probe_ranked = rank_by_probe(ctx.platform, pool.iter().copied(), t, detected);
-                active = match ctx.policies {
-                    None => probe_ranked[..n].to_vec(),
-                    Some(ps) => {
-                        let candidates =
-                            policy_candidates(plan, ctx.platform, &probe_ranked, t, detected);
-                        let ranked = ps.placement.rank(&candidates, detected);
-                        ctx.emit(|| obs::TraceEvent::PolicyDecision {
-                            t: detected,
-                            policy: ps.placement.name().to_owned(),
-                            failed: fi.failed[0],
-                            chosen: ranked.first().copied(),
-                            ranked: ranked.clone(),
-                        });
-                        ranked[..n].to_vec()
-                    }
-                };
+                let ranked = rank_replacements(
+                    ctx,
+                    &plan,
+                    pool.iter().copied(),
+                    run.failed[0],
+                    run.t,
+                    detected,
+                );
+                active = ranked[..n].to_vec();
                 ctx.emit(|| obs::TraceEvent::RecoveryComplete {
                     t: detected + restart_pause,
-                    host: fi.failed[0],
+                    host: run.failed[0],
                     replacement: None,
                     action: obs::RecoveryAction::Restart,
                     pause_secs: restart_pause,
                 });
-                restarts += 1;
-                recoveries += 1;
-                adapt_total += restart_pause;
-                iterations.retain(|r: &IterationRecord| r.index < ckpt_index);
-                t = detected + restart_pause;
-                index = ckpt_index;
+                run.result.adaptations += 1;
+                run.result.recoveries += 1;
+                run.resume(detected, restart_pause, ckpt_index);
                 continue;
             }
 
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
+            let out = &run.out;
             pool.retain(|&h| !plan.is_crashed(h, out.end));
-
-            iter_secs_sum += out.end - t;
+            iter_secs_sum += out.end - run.t;
             iters_run += 1;
-
-            let completed = index + 1;
-            let mut adapt_time = 0.0;
-            // Cadence: the legacy path keeps the exact modulo trigger;
-            // the policy path asks for the interval since the last
-            // durable checkpoint (identical for `FixedInterval`, since
-            // `ckpt_index` is always a multiple of the fixed cadence,
-            // but lets `YoungDaly` drift with the observed failure rate).
-            let should_checkpoint = match ctx.policies {
-                None => completed % every == 0,
-                Some(ps) => {
-                    let q = policy::CheckpointQuery {
-                        delta_secs: ckpt_write,
-                        mtbf_secs: (failures > 0).then(|| out.end * alloc as f64 / failures as f64),
-                        mean_iter_secs: iter_secs_sum / iters_run as f64,
-                        default_every: every,
-                        n_active: n,
-                    };
-                    completed - ckpt_index >= ps.checkpoint.interval_iters(&q)
-                }
-            };
-            if should_checkpoint && completed < app.iterations {
-                adapt_time = ckpt_write;
-                ctx.emit(|| obs::TraceEvent::Checkpoint {
-                    t: out.end,
-                    iter: index,
-                    bytes: n as f64 * app.process_state_bytes,
-                    pause_secs: ckpt_write,
-                });
-                ckpt_index = completed;
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active.clone(),
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-            index = completed;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: restarts,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries,
-            aborts: 0,
-            truncated,
-        }
-    }
-}
-
-impl Strategy for Cr {
-    fn name(&self) -> String {
-        "cr".to_owned()
-    }
-
-    fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-
-        let pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let cycle_cost = Cr::restart_cost(ctx);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut restarts = 0usize;
-        let mut adapt_total = 0.0;
-
-        for index in 0..app.iterations {
-            let out = run_iteration(ctx.platform, app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
             let active_during = active.clone();
+            let completed = run.index + 1;
             let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                let snapshots: Vec<ProcessorSnapshot> = pool
-                    .iter()
-                    .map(|&h| ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    })
-                    .collect();
-                // The CR trigger: would the swap criteria fire?
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                if decision.will_swap() {
-                    // Relocate to the N best-predicted processors.
-                    let mut ranked: Vec<&ProcessorSnapshot> = snapshots.iter().collect();
-                    ranked.sort_by(|a, b| {
-                        b.predicted_perf
-                            .total_cmp(&a.predicted_perf)
-                            .then(a.id.cmp(&b.id))
-                    });
-                    active = ranked[..n].iter().map(|s| s.id).collect();
-                    adapt_time = cycle_cost;
-                    restarts += 1;
-                    ctx.emit(|| obs::TraceEvent::Checkpoint {
-                        t: out.end,
-                        iter: index,
-                        bytes: n as f64 * app.process_state_bytes,
-                        pause_secs: cycle_cost,
-                    });
+            match &mut mode {
+                Mode::Relocate(manager) => {
+                    manager.measure(ctx, &pool, &active, run.t, out);
+                    // The CR trigger: would the swap criteria fire? The
+                    // last iteration has nothing left to amortize against.
+                    if completed < app.iterations
+                        && manager
+                            .decide(ctx, &pool, &active, run.index, run.t, out)
+                            .will_swap()
+                    {
+                        // Relocate to the N best-predicted processors.
+                        let mut ranked: Vec<&ProcessorSnapshot> =
+                            manager.snapshots().iter().collect();
+                        ranked.sort_by(|a, b| {
+                            b.predicted_perf
+                                .total_cmp(&a.predicted_perf)
+                                .then(a.id.cmp(&b.id))
+                        });
+                        active = ranked[..n].iter().map(|s| s.id).collect();
+                        adapt_time = cycle_cost;
+                        run.result.adaptations += 1;
+                        ctx.emit(|| obs::TraceEvent::Checkpoint {
+                            t: out.end,
+                            iter: run.index,
+                            bytes: n as f64 * app.process_state_bytes,
+                            pause_secs: cycle_cost,
+                        });
+                    }
+                }
+                Mode::Checkpoint => {
+                    // Cadence: the legacy path keeps the exact modulo
+                    // trigger; the policy path asks for the interval
+                    // since the last durable checkpoint (identical for
+                    // `FixedInterval`, since `ckpt_index` is always a
+                    // multiple of the fixed cadence, but lets `YoungDaly`
+                    // drift with the observed failure rate).
+                    let should_checkpoint = match ctx.policies {
+                        None => completed.is_multiple_of(every),
+                        Some(ps) => {
+                            let failures = run.result.failures;
+                            let q = policy::CheckpointQuery {
+                                delta_secs: ckpt_write,
+                                mtbf_secs: (failures > 0)
+                                    .then(|| out.end * alloc as f64 / failures as f64),
+                                mean_iter_secs: iter_secs_sum / iters_run as f64,
+                                default_every: every,
+                                n_active: n,
+                            };
+                            completed - ckpt_index >= ps.checkpoint.interval_iters(&q)
+                        }
+                    };
+                    if should_checkpoint && completed < app.iterations {
+                        adapt_time = ckpt_write;
+                        ctx.emit(|| obs::TraceEvent::Checkpoint {
+                            t: out.end,
+                            iter: run.index,
+                            bytes: n as f64 * app.process_state_bytes,
+                            pause_secs: ckpt_write,
+                        });
+                        ckpt_index = completed;
+                    }
                 }
             }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
+            run.complete(active_during, adapt_time);
         }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: restarts,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+        run.finish()
     }
 }
 

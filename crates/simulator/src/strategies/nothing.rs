@@ -1,7 +1,7 @@
 //! The NOTHING baseline: schedule once, never adapt.
 
-use super::{rank_by_probe, RunContext, Strategy};
-use crate::exec::{run_iteration, run_iteration_faults, IterationRecord, RunResult};
+use super::{balanced_work, rank_by_probe, Run, RunContext, Strategy};
+use crate::exec::RunResult;
 use crate::schedule::{equal_partition, fastest_hosts};
 
 /// "Do nothing": start on the `N` fastest processors and stay there,
@@ -9,137 +9,58 @@ use crate::schedule::{equal_partition, fastest_hosts};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Nothing;
 
-impl Nothing {
-    /// Failure-aware variant: NOTHING has no recovery mechanism, so a
-    /// crashed active host aborts the whole run. We model resubmission
-    /// semantics — the job restarts from scratch (losing all completed
-    /// iterations) on the `N` best surviving hosts — which is what a
-    /// batch system would do. If fewer than `N` hosts survive, the run
-    /// can never finish and its execution time is censored at the fault
-    /// plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let mut active = fastest_hosts(ctx.platform, n, 0.0);
-        let work = equal_partition(n, app.flops_per_proc_iter);
-
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let (mut failures, mut aborts) = (0usize, 0usize);
-        let mut truncated = false;
-        let mut adapt_total = 0.0;
-        let mut index = 0;
-        while index < app.iterations {
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                aborts += 1;
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                let alive = plan.alive_hosts(detected);
-                if alive.len() < n {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                // Resubmission: restart from iteration 0 on the best
-                // survivors, paying startup again.
-                active = rank_by_probe(ctx.platform, alive, t, detected)[..n].to_vec();
-                let pause = ctx.platform.startup_time(n);
-                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                    t: detected + pause,
-                    host: fi.failed[0],
-                    replacement: None,
-                    action: obs::RecoveryAction::Abort,
-                    pause_secs: pause,
-                });
-                adapt_total += pause;
-                t = detected + pause;
-                index = 0;
-                iterations.clear();
-                continue;
-            }
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            t = out.end;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries: 0,
-            aborts,
-            truncated,
-        }
-    }
-}
-
 impl Strategy for Nothing {
     fn name(&self) -> String {
         "nothing".to_owned()
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let n = ctx.app.n_active;
-        let active = fastest_hosts(ctx.platform, n, 0.0);
-        let work = equal_partition(n, ctx.app.flops_per_proc_iter);
-
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut iterations = Vec::with_capacity(ctx.app.iterations);
-        for index in 0..ctx.app.iterations {
-            let out = run_iteration(ctx.platform, ctx.app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            t = out.end;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: 0,
-            adapt_time_total: 0.0,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+        run_fixed_set(ctx, self.name(), false)
     }
+}
+
+/// The loop NOTHING and DLB share: compute on the `N` fastest hosts at
+/// startup, never moving. DLB (`rebalance`) recomputes the work division
+/// from the speeds delivered at each iteration's start.
+///
+/// Neither has a spare pool or checkpoints, so a crashed active host
+/// aborts the whole run. We model resubmission semantics — the job
+/// restarts from scratch (losing all completed iterations, paying
+/// startup again) on the `N` best surviving hosts — which is what a
+/// batch system would do. If fewer than `N` hosts survive, the run can
+/// never finish and its execution time is censored at the fault plan's
+/// horizon.
+pub(super) fn run_fixed_set(ctx: &RunContext<'_>, name: String, rebalance: bool) -> RunResult {
+    let plan = ctx.plan();
+    let n = ctx.app.n_active;
+    let mut active = fastest_hosts(ctx.platform, n, 0.0);
+    let mut work = equal_partition(n, ctx.app.flops_per_proc_iter);
+    let mut run = Run::new(ctx, &plan, name, ctx.platform.startup_time(n));
+    while !run.done() {
+        if rebalance {
+            work = balanced_work(ctx, &active, run.t);
+        }
+        let Some(detected) = run.attempt(&active, &work) else {
+            run.complete(active.clone(), 0.0);
+            continue;
+        };
+        run.result.aborts += 1;
+        let alive = plan.alive_hosts(detected);
+        if alive.len() < n {
+            return run.truncate(detected);
+        }
+        active = rank_by_probe(ctx.platform, alive, run.t, detected)[..n].to_vec();
+        let pause = ctx.platform.startup_time(n);
+        ctx.emit(|| obs::TraceEvent::RecoveryComplete {
+            t: detected + pause,
+            host: run.failed[0],
+            replacement: None,
+            action: obs::RecoveryAction::Abort,
+            pause_secs: pause,
+        });
+        run.resume(detected, pause, 0);
+    }
+    run.finish()
 }
 
 #[cfg(test)]

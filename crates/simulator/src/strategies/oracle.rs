@@ -8,8 +8,8 @@
 //! value still obtainable from better prediction (`ablation_oracle`
 //! quantifies it).
 
-use super::{RunContext, Strategy};
-use crate::exec::{run_iteration, run_iteration_faults, IterationRecord, RunResult};
+use super::{Run, RunContext, Strategy};
+use crate::exec::RunResult;
 use crate::schedule::equal_partition;
 
 /// Free-migration, future-seeing host selection — an upper bound on every
@@ -36,93 +36,6 @@ impl Oracle {
         ids.truncate(n);
         ids
     }
-
-    /// Failure-aware variant: the oracle also foresees crashes, but we
-    /// keep it honest by only letting it avoid hosts already dead at the
-    /// iteration start (it still places ahead by delivered capacity, so a
-    /// mid-iteration crash can catch it). Recovery is free: the lost
-    /// iteration is retried from the detection instant on the best
-    /// survivors, with no transfer or restart pause — the upper bound no
-    /// real recovery protocol can beat.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
-        let mut window = app.unloaded_iter_time(3.0e8);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut moves = 0usize;
-        let (mut failures, mut recoveries) = (0usize, 0usize);
-        let mut truncated = false;
-        let mut prev_active: Option<Vec<usize>> = None;
-
-        let mut index = 0;
-        while index < app.iterations {
-            let alive = plan.alive_hosts(t);
-            if alive.len() < n {
-                truncated = true;
-                t = plan.horizon.max(t);
-                break;
-            }
-            let active = Oracle::best_hosts_over(ctx, alive, n, t, window);
-            if let Some(prev) = &prev_active {
-                moves += active.iter().filter(|h| !prev.contains(h)).count();
-            }
-            let fi = run_iteration_faults(ctx.platform, app, &active, &work, t, plan);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                    t: detected,
-                    host: fi.failed[0],
-                    replacement: None,
-                    action: obs::RecoveryAction::SpareSwap,
-                    pause_secs: 0.0,
-                });
-                recoveries += fi.failed.len();
-                prev_active = Some(active);
-                t = detected;
-                continue;
-            }
-            let out = fi.outcome;
-            ctx.emit_iteration(index, &active, t, &out);
-            window = out.end - t;
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            prev_active = Some(active);
-            t = out.end;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: moves,
-            adapt_time_total: 0.0,
-            iterations,
-            failures,
-            recoveries,
-            aborts: 0,
-            truncated,
-        }
-    }
 }
 
 impl Strategy for Oracle {
@@ -130,55 +43,52 @@ impl Strategy for Oracle {
         "oracle".to_owned()
     }
 
+    /// The oracle also foresees crashes, but we keep it honest by only
+    /// letting it avoid hosts already dead at the iteration start (it
+    /// still places ahead by delivered capacity, so a mid-iteration crash
+    /// can catch it). Recovery is free: the lost iteration is retried
+    /// from the detection instant on the best survivors, with no transfer
+    /// or restart pause — the upper bound no real recovery protocol can
+    /// beat.
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
+        let plan = ctx.plan();
         let app = ctx.app;
         let n = app.n_active;
         let work = equal_partition(n, app.flops_per_proc_iter);
         // Startup like NOTHING: the oracle needs no spare pool.
-        let startup = ctx.platform.startup_time(n);
-        let mut t = startup;
+        let mut run = Run::new(ctx, &plan, self.name(), ctx.platform.startup_time(n));
         // Look-ahead window: the unloaded iteration time on a mid-range
         // host, refined to the previous iteration's actual length.
         let mut window = app.unloaded_iter_time(3.0e8);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut moves = 0usize;
         let mut prev_active: Option<Vec<usize>> = None;
-
-        for index in 0..app.iterations {
-            let active = Oracle::best_hosts_over(ctx, 0..ctx.platform.hosts.len(), n, t, window);
-            if let Some(prev) = &prev_active {
-                moves += active.iter().filter(|h| !prev.contains(h)).count();
+        while !run.done() {
+            let alive = (0..plan.hosts.len()).filter(|&h| !plan.is_crashed(h, run.t));
+            let active = Oracle::best_hosts_over(ctx, alive, n, run.t, window);
+            if active.len() < n {
+                let t = run.t;
+                return run.truncate(t);
             }
-            let out = run_iteration(ctx.platform, app, &active, &work, t);
-            ctx.emit_iteration(index, &active, t, &out);
-            window = out.end - t;
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time: 0.0,
-                active: active.clone(),
-            });
-            prev_active = Some(active);
-            t = out.end;
+            if let Some(prev) = &prev_active {
+                run.result.adaptations += active.iter().filter(|h| !prev.contains(h)).count();
+            }
+            if let Some(detected) = run.attempt(&active, &work) {
+                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
+                    t: detected,
+                    host: run.failed[0],
+                    replacement: None,
+                    action: obs::RecoveryAction::SpareSwap,
+                    pause_secs: 0.0,
+                });
+                run.result.recoveries += run.failed.len();
+                prev_active = Some(active);
+                run.resume(detected, 0.0, run.index);
+                continue;
+            }
+            window = run.out.end - run.t;
+            prev_active = Some(active.clone());
+            run.complete(active, 0.0);
         }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: moves,
-            adapt_time_total: 0.0,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
-        }
+        run.finish()
     }
 }
 

@@ -10,14 +10,13 @@
 //! spare(s). Each admitted exchange pauses the application for
 //! `α + state/β` while the process state crosses the shared link.
 
-use super::{choose_spare, RunContext, Strategy};
-use crate::exec::{
-    probe_host, run_iteration_faults_into, run_iteration_into, FaultedIteration, IterationOutcome,
-    IterationRecord, RunResult,
-};
+use super::{balanced_work, rank_replacements, Run, RunContext, Strategy};
+use crate::exec::{probe_host, IterationOutcome, RunResult};
 use crate::schedule::{equal_partition, fastest_hosts};
 use std::collections::HashMap;
-use swap_core::{DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost};
+use swap_core::{
+    DecisionEngine, PerfHistory, PolicyParams, ProcessorSnapshot, SwapCost, SwapDecision,
+};
 
 /// MPI process swapping with a configurable policy.
 #[derive(Clone, Copy, Debug)]
@@ -76,203 +75,6 @@ impl Swap {
     pub fn policy(&self) -> &PolicyParams {
         &self.policy
     }
-
-    /// Failure-aware variant: the over-allocated spare pool doubles as a
-    /// recovery pool. A crashed active slot is reported at the next
-    /// collective (ULFM semantics); the manager treats the death as a
-    /// *mandatory* swap — the payback algebra is skipped entirely — and
-    /// restores the process on the best surviving spare from its last
-    /// registered snapshot (one `α + state/β` transfer, the same price as
-    /// a voluntary swap). Crashed hosts leave the pool for good. The
-    /// failed iteration is re-run from the recovery instant. If a dead
-    /// slot has no spare left, the run is truncated and censored at the
-    /// plan's horizon.
-    fn run_faults(&self, ctx: &RunContext<'_>, plan: &faults::FaultPlan) -> RunResult {
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-
-        let mut pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
-        let mut engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
-        if let Some(max) = self.max_swaps {
-            engine = engine.with_max_swaps(max);
-        }
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
-
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
-        let (mut failures, mut recoveries) = (0usize, 0usize);
-        let mut truncated = false;
-
-        // Scratch reused across iterations (allocation trim — the
-        // replication hot path runs thousands of these loops).
-        let mut fi = FaultedIteration::default();
-        let mut snapshots: Vec<ProcessorSnapshot> = Vec::with_capacity(pool.len());
-
-        let mut index = 0;
-        while index < app.iterations {
-            run_iteration_faults_into(ctx.platform, app, &active, &work, t, plan, &mut fi);
-            if !fi.failed.is_empty() {
-                failures += fi.failed.len();
-                let detected = fi.detected;
-                for &h in &fi.failed {
-                    ctx.emit(|| obs::TraceEvent::FailureDetected {
-                        t: detected,
-                        host: h,
-                        iter: Some(index),
-                        cause: obs::FailureCause::InjectedCrash,
-                        detail: None,
-                    });
-                }
-                // Every host known dead by the detection instant leaves
-                // the pool — crashed spares are discovered here too.
-                pool.retain(|&h| !plan.is_crashed(h, detected));
-                let mut pause = 0.0;
-                let mut stranded = false;
-                for &dead in &fi.failed {
-                    let spares = pool.iter().copied().filter(|h| !active.contains(h));
-                    let Some(best) = choose_spare(ctx, plan, spares, dead, t, detected) else {
-                        stranded = true;
-                        break;
-                    };
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == dead)
-                        .expect("failed host is active");
-                    active[slot] = best;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: detected + pause,
-                        iter: index,
-                        from: dead,
-                        to: best,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    pause += transfer;
-                    ctx.emit(|| obs::TraceEvent::RecoveryComplete {
-                        t: detected + pause,
-                        host: dead,
-                        replacement: Some(best),
-                        action: obs::RecoveryAction::SpareSwap,
-                        pause_secs: transfer,
-                    });
-                    swaps += 1;
-                    recoveries += 1;
-                }
-                if stranded {
-                    truncated = true;
-                    t = plan.horizon.max(detected);
-                    break;
-                }
-                adapt_total += pause;
-                t = detected + pause;
-                continue; // re-run the same iteration index
-            }
-
-            let out = &fi.outcome;
-            ctx.emit_iteration(index, &active, t, out);
-            // Spares that died quietly are discovered by their failed
-            // probes at the iteration boundary.
-            pool.retain(|&h| !plan.is_crashed(h, out.end));
-
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                snapshots.clear();
-                snapshots.extend(pool.iter().map(|&h| {
-                    ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    }
-                }));
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-            index += 1;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures,
-            recoveries,
-            aborts: 0,
-            truncated,
-        }
-    }
 }
 
 impl Strategy for Swap {
@@ -281,136 +83,215 @@ impl Strategy for Swap {
     }
 
     fn run(&self, ctx: &RunContext<'_>) -> RunResult {
-        if let Some(plan) = ctx.faults {
-            return self.run_faults(ctx, plan);
-        }
-        let app = ctx.app;
-        let n = app.n_active;
-        let alloc = ctx.allocated;
-
-        // Allocate the `alloc` best processors at startup; start computing
-        // on the best N of those.
-        let pool = fastest_hosts(ctx.platform, alloc, 0.0);
-        let mut active: Vec<usize> = pool[..n].to_vec();
-
         let mut engine = DecisionEngine::new(self.policy, SwapCost::from_link(ctx.platform.link));
         if let Some(max) = self.max_swaps {
             engine = engine.with_max_swaps(max);
         }
-        let mut histories: HashMap<usize, PerfHistory> =
-            pool.iter().map(|&h| (h, PerfHistory::new())).collect();
+        run_swapping(ctx, self.name(), engine, false)
+    }
+}
 
-        let startup = ctx.platform.startup_time(alloc);
-        let mut t = startup;
-        let work = equal_partition(n, app.flops_per_proc_iter);
-        let mut iterations = Vec::with_capacity(app.iterations);
-        let mut swaps = 0usize;
-        let mut adapt_total = 0.0;
+/// The swap manager's bookkeeping (§3): the decision engine, one
+/// performance history per allocated host, and a snapshot scratch reused
+/// across decision points (the replication hot path runs thousands of
+/// these loops).
+pub(super) struct Manager {
+    engine: DecisionEngine,
+    histories: HashMap<usize, PerfHistory>,
+    snapshots: Vec<ProcessorSnapshot>,
+}
 
-        // Scratch reused across iterations (allocation trim — the
-        // replication hot path runs thousands of these loops).
-        let mut scratch = IterationOutcome::default();
-        let mut snapshots: Vec<ProcessorSnapshot> = Vec::with_capacity(pool.len());
-
-        for index in 0..app.iterations {
-            run_iteration_into(ctx.platform, app, &active, &work, t, &mut scratch);
-            let out = &scratch;
-            ctx.emit_iteration(index, &active, t, out);
-
-            // Measurement: active processes report achieved compute rate;
-            // spares are probed over the same window.
-            for (k, &h) in active.iter().enumerate() {
-                histories
-                    .get_mut(&h)
-                    .expect("active host is in pool")
-                    .record(out.end, out.measured_rates[k]);
-            }
-            for &h in pool.iter().filter(|h| !active.contains(h)) {
-                let probed = probe_host(ctx.platform, h, t, out.compute_end);
-                histories
-                    .get_mut(&h)
-                    .expect("spare host is in pool")
-                    .record(out.end, probed);
-                ctx.emit(|| obs::TraceEvent::Probe {
-                    t: out.end,
-                    host: h,
-                    rate: probed,
-                });
-            }
-
-            let active_during = active.clone();
-
-            // Decision point. The last iteration performs no swap — there
-            // is nothing left to amortize against.
-            let mut adapt_time = 0.0;
-            if index + 1 < app.iterations {
-                let iter_time = out.end - t;
-                snapshots.clear();
-                snapshots.extend(pool.iter().map(|&h| {
-                    ProcessorSnapshot {
-                        id: h,
-                        active: active.contains(&h),
-                        predicted_perf: histories[&h]
-                            .predict(self.policy.predictor, self.policy.history, out.end)
-                            .expect("history has at least one sample"),
-                    }
-                }));
-                let decision = engine.decide(&snapshots, iter_time, app.process_state_bytes);
-                ctx.emit(|| obs::TraceEvent::SwapDecision {
-                    t: out.end,
-                    iter: index,
-                    old_iter_time: iter_time,
-                    swap_time: engine.cost().swap_time(app.process_state_bytes),
-                    app_improvement: decision.app_improvement,
-                    stopped_because: decision.stopped_because,
-                    admitted: decision.pairs.clone(),
-                    rejected: decision.rejected,
-                });
-                for pair in &decision.pairs {
-                    let slot = active
-                        .iter()
-                        .position(|&h| h == pair.from)
-                        .expect("engine swaps an active host");
-                    active[slot] = pair.to;
-                    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
-                    ctx.emit(|| obs::TraceEvent::SwapExec {
-                        t: out.end + adapt_time,
-                        iter: index,
-                        from: pair.from,
-                        to: pair.to,
-                        bytes: app.process_state_bytes,
-                        transfer_secs: transfer,
-                    });
-                    adapt_time += transfer;
-                }
-                swaps += decision.pairs.len();
-            }
-
-            iterations.push(IterationRecord {
-                index,
-                start: t,
-                compute_end: out.compute_end,
-                end: out.end,
-                adapt_time,
-                active: active_during,
-            });
-            adapt_total += adapt_time;
-            t = out.end + adapt_time;
-        }
-
-        RunResult {
-            strategy: self.name(),
-            execution_time: t,
-            startup_time: startup,
-            adaptations: swaps,
-            adapt_time_total: adapt_total,
-            iterations,
-            failures: 0,
-            recoveries: 0,
-            aborts: 0,
-            truncated: false,
+impl Manager {
+    /// A manager with empty histories for every host of `pool`.
+    pub(super) fn new(engine: DecisionEngine, pool: &[usize]) -> Self {
+        Manager {
+            engine,
+            histories: pool.iter().map(|&h| (h, PerfHistory::new())).collect(),
+            snapshots: Vec::with_capacity(pool.len()),
         }
     }
+
+    /// Records the measurements of the iteration `out` that started at
+    /// `t0`: active processes report their achieved compute rate; the
+    /// swap handlers probe the spares over the same window.
+    pub(super) fn measure(
+        &mut self,
+        ctx: &RunContext<'_>,
+        pool: &[usize],
+        active: &[usize],
+        t0: f64,
+        out: &IterationOutcome,
+    ) {
+        for (k, &h) in active.iter().enumerate() {
+            self.histories
+                .get_mut(&h)
+                .expect("active host is in pool")
+                .record(out.end, out.measured_rates[k]);
+        }
+        for &h in pool.iter().filter(|h| !active.contains(h)) {
+            let probed = probe_host(ctx.platform, h, t0, out.compute_end);
+            self.histories
+                .get_mut(&h)
+                .expect("spare host is in pool")
+                .record(out.end, probed);
+            ctx.emit(|| obs::TraceEvent::Probe {
+                t: out.end,
+                host: h,
+                rate: probed,
+            });
+        }
+    }
+
+    /// Decision point after iteration `index` (`out`, started at `t0`):
+    /// predicts every pool host's performance from its history and asks
+    /// the engine which exchanges pay off, auditing the decision.
+    pub(super) fn decide(
+        &mut self,
+        ctx: &RunContext<'_>,
+        pool: &[usize],
+        active: &[usize],
+        index: usize,
+        t0: f64,
+        out: &IterationOutcome,
+    ) -> SwapDecision {
+        let policy = *self.engine.policy();
+        let iter_time = out.end - t0;
+        self.snapshots.clear();
+        self.snapshots.extend(pool.iter().map(|&h| {
+            ProcessorSnapshot {
+                id: h,
+                active: active.contains(&h),
+                predicted_perf: self.histories[&h]
+                    .predict(policy.predictor, policy.history, out.end)
+                    .expect("history has at least one sample"),
+            }
+        }));
+        let state = ctx.app.process_state_bytes;
+        let decision = self.engine.decide(&self.snapshots, iter_time, state);
+        ctx.emit(|| obs::TraceEvent::SwapDecision {
+            t: out.end,
+            iter: index,
+            old_iter_time: iter_time,
+            swap_time: self.engine.cost().swap_time(state),
+            app_improvement: decision.app_improvement,
+            stopped_because: decision.stopped_because,
+            admitted: decision.pairs.clone(),
+            rejected: decision.rejected,
+        });
+        decision
+    }
+
+    /// The snapshots of the last decision point.
+    pub(super) fn snapshots(&self) -> &[ProcessorSnapshot] {
+        &self.snapshots
+    }
+}
+
+/// The loop SWAP and DLB+SWAP share: allocate the `alloc` best
+/// processors at startup, compute on the best `N` of those, and at the
+/// end of each iteration let the swap manager exchange the slowest
+/// active processor(s) for the fastest spare(s). Each admitted exchange
+/// pauses the application for `α + state/β`. The last iteration performs
+/// no swap — there is nothing left to amortize against. DLB+SWAP
+/// (`rebalance`) also recomputes the work division every iteration.
+///
+/// The over-allocated spare pool doubles as a recovery pool. A crashed
+/// active slot is reported at the next collective (ULFM semantics); the
+/// manager treats the death as a *mandatory* swap — the payback algebra
+/// is skipped entirely — and restores the process on the best surviving
+/// spare from its last registered snapshot (one `α + state/β` transfer,
+/// the same price as a voluntary swap). Crashed hosts leave the pool for
+/// good. The failed iteration is re-run from the recovery instant. If a
+/// dead slot has no spare left, the run is truncated and censored at the
+/// plan's horizon.
+pub(super) fn run_swapping(
+    ctx: &RunContext<'_>,
+    name: String,
+    engine: DecisionEngine,
+    rebalance: bool,
+) -> RunResult {
+    let plan = ctx.plan();
+    let app = ctx.app;
+    let n = app.n_active;
+    let mut pool = fastest_hosts(ctx.platform, ctx.allocated, 0.0);
+    let mut active: Vec<usize> = pool[..n].to_vec();
+    let mut manager = Manager::new(engine, &pool);
+    let mut work = equal_partition(n, app.flops_per_proc_iter);
+    let transfer = ctx.platform.link.transfer_time(app.process_state_bytes);
+    let mut run = Run::new(ctx, &plan, name, ctx.platform.startup_time(ctx.allocated));
+    while !run.done() {
+        if rebalance {
+            work = balanced_work(ctx, &active, run.t);
+        }
+        if let Some(detected) = run.attempt(&active, &work) {
+            // Every host known dead by the detection instant leaves the
+            // pool — crashed spares are discovered here too.
+            pool.retain(|&h| !plan.is_crashed(h, detected));
+            let mut pause = 0.0;
+            for &dead in &run.failed {
+                let spares = pool.iter().copied().filter(|h| !active.contains(h));
+                let ranked = rank_replacements(ctx, &plan, spares, dead, run.t, detected);
+                let Some(&best) = ranked.first() else {
+                    return run.truncate(detected);
+                };
+                let slot = active
+                    .iter()
+                    .position(|&h| h == dead)
+                    .expect("failed host is active");
+                active[slot] = best;
+                ctx.emit(|| obs::TraceEvent::SwapExec {
+                    t: detected + pause,
+                    iter: run.index,
+                    from: dead,
+                    to: best,
+                    bytes: app.process_state_bytes,
+                    transfer_secs: transfer,
+                });
+                pause += transfer;
+                ctx.emit(|| obs::TraceEvent::RecoveryComplete {
+                    t: detected + pause,
+                    host: dead,
+                    replacement: Some(best),
+                    action: obs::RecoveryAction::SpareSwap,
+                    pause_secs: transfer,
+                });
+                run.result.adaptations += 1;
+                run.result.recoveries += 1;
+            }
+            run.resume(detected, pause, run.index);
+            continue;
+        }
+
+        let out = &run.out;
+        // Spares that died quietly are discovered by their failed probes
+        // at the iteration boundary.
+        pool.retain(|&h| !plan.is_crashed(h, out.end));
+        manager.measure(ctx, &pool, &active, run.t, out);
+        let active_during = active.clone();
+        let mut adapt_time = 0.0;
+        if run.index + 1 < app.iterations {
+            let decision = manager.decide(ctx, &pool, &active, run.index, run.t, out);
+            for pair in &decision.pairs {
+                let slot = active
+                    .iter()
+                    .position(|&h| h == pair.from)
+                    .expect("engine swaps an active host");
+                active[slot] = pair.to;
+                ctx.emit(|| obs::TraceEvent::SwapExec {
+                    t: out.end + adapt_time,
+                    iter: run.index,
+                    from: pair.from,
+                    to: pair.to,
+                    bytes: app.process_state_bytes,
+                    transfer_secs: transfer,
+                });
+                adapt_time += transfer;
+            }
+            run.result.adaptations += decision.pairs.len();
+        }
+        run.complete(active_during, adapt_time);
+    }
+    run.finish()
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //! * [`policy`] — the pluggable decision layer: spare-placement and
 //!   checkpoint-interval policies the strategies consult.
 //! * [`minimpi`] — in-process MPI-like runtime with live process swapping.
-//! * [`simulator`] — platform/application models and the four execution
-//!   strategies (NOTHING, SWAP, DLB, CR) plus the experiment runner.
+//! * [`simulator`] — platform/application models and the six execution
+//!   strategies (the paper's NOTHING, SWAP, DLB and CR, plus the
+//!   DLB+SWAP hybrid and the clairvoyant ORACLE) plus the experiment
+//!   runner.
 
 pub use faults;
 pub use loadmodel;
